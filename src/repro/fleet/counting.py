@@ -34,12 +34,8 @@ import numpy as np
 from repro._typing import DatasetLike, ExecutorLike
 from repro.core.partition_plan import cell_assignments
 from repro.errors import InvalidParameterError
-from repro.obs import MetricsRegistry, enabled, metrics, use_registry
-from repro.stream.executor import (
-    _merge_worker_registries,
-    get_executor,
-    process_backed,
-)
+from repro.obs import metrics
+from repro.stream.executor import fan, owned, process_backed, shipped_index_bytes
 
 
 class LitsStoreCounter:
@@ -99,24 +95,11 @@ class LitsStoreCounter:
         return np.array([counts[s] for s in itemsets], dtype=np.int64)
 
 
-def _count_support_payload(
-    payload: tuple[Any, ...],
-) -> np.ndarray | tuple[np.ndarray, MetricsRegistry]:
-    """Top-level map worker (picklable for the process backend).
-
-    With the collect flag set, the scan runs under a fresh per-store
-    registry (span ``fleet.store.scan`` + the bitmap counters) that
-    travels back with the counts, exactly like the stream shard
-    workers.
-    """
-    index, itemsets, collect = payload
-    if not collect:
+def _count_support_payload(payload: tuple[Any, ...]) -> np.ndarray:
+    """Top-level map worker (picklable for the process backend)."""
+    index, itemsets = payload
+    with metrics().span("fleet.store.scan"):
         return index.support_counts(itemsets)
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span("fleet.store.scan"):
-            counts = index.support_counts(itemsets)
-    return counts, local
 
 
 def prime_lits_counters(
@@ -136,33 +119,22 @@ def prime_lits_counters(
     todo = [i for i, m in missing.items() if m]
     if not todo:
         return
-    collect = enabled()
-    payloads = [(counters[i].dataset.index, missing[i], collect) for i in todo]
-    # a backend *name* resolves to a runner this call owns and releases;
-    # an executor *instance* stays open for its owner to reuse
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    if process_backed(runner):
-        # mmap-backed indexes pickle as stripe handles (zero row bytes
-        # on the wire); RAM indexes ship their whole packed buffer
-        metrics().inc(
-            "storage.bytes_shipped",
-            sum(
-                0 if index.handle() is not None else index._buf.nbytes
-                for index, _, _ in payloads
-            ),
-        )
-    try:
-        results = runner.map(_count_support_payload, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if collect:
-        results = _merge_worker_registries(results)
-    for i, counts in zip(todo, results):
+    payloads = [(counters[i].dataset.index, missing[i]) for i in todo]
+    report = fan(
+        _count_support_payload,
+        payloads,
+        executor,
+        ships=lambda p: shipped_index_bytes(p[0]),
+    )
+    for i, counts in zip(todo, report.raise_if_failed().results):
         counters[i].absorb(missing[i], counts)
+
+
+def _assign_cells(payload: tuple[Any, ...]) -> None:
+    """Top-level map worker forcing one store's base assigner pass."""
+    assigner, dataset = payload
+    with metrics().span("fleet.store.assign"):
+        cell_assignments(assigner, dataset)
 
 
 def prime_partition_passes(
@@ -179,46 +151,20 @@ def prime_partition_passes(
     front (in parallel, when the executor allows) leaves the per-pair
     overlay measurement as pure table lookups plus ``bincount``.
     """
-    # a backend *name* resolves to a runner this call owns and releases;
-    # an executor *instance* stays open for its owner to reuse
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    try:
-        if process_backed(runner) and not getattr(runner, "degradable", False):
-            # a degradable supervised fan is allowed through: its process
-            # rung will break on the unpicklable closures and the ladder
-            # lands the work on the thread/serial rungs below
-            raise InvalidParameterError(
-                "the process executor cannot fan out partition fleets (GCR "
-                "overlay assigners are closures and the assignment memo "
-                "lives in-process); use the serial or thread executor"
-            )
-
-        collect = enabled()
-
-        def _prime(i: int) -> MetricsRegistry | None:
-            # serial/thread only (guarded above), so a closure is fine;
-            # worker threads do not see the caller's registry, hence the
-            # same collect-and-return pattern as the shard workers
-            if not collect:
-                cell_assignments(models[i].structure.assigner, datasets[i])
-                return None
-            local = MetricsRegistry()
-            with use_registry(local):
-                with local.span("fleet.store.assign"):
-                    cell_assignments(
-                        models[i].structure.assigner, datasets[i]
-                    )
-            return local
-
-        regs = runner.map(_prime, list(dict.fromkeys(indices)))
-        if collect:
-            sink = metrics()
-            for local in regs:
-                if local is not None:
-                    sink.absorb(local)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
+    with owned(executor) as runner:
+        if process_backed(runner):
+            if not getattr(runner, "degradable", False):
+                raise InvalidParameterError(
+                    "the process executor cannot fan out partition fleets "
+                    "(GCR overlay assigners are closures and the assignment "
+                    "memo lives in-process); use the serial or thread executor"
+                )
+            # a pass run in a worker process never reaches this process's
+            # memo, so a degradable supervised fan goes straight to the
+            # thread rung its ladder would land on
+            runner = "thread"
+        payloads = [
+            (models[i].structure.assigner, datasets[i])
+            for i in dict.fromkeys(indices)
+        ]
+        fan(_assign_cells, payloads, runner).raise_if_failed()

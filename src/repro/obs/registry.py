@@ -22,9 +22,9 @@ scan accounting. This module replaces them with one substrate:
   registry active).
 * :func:`use_registry` installs a registry for a ``with`` scope via a
   :class:`contextvars.ContextVar`; worker threads and processes do NOT
-  inherit it, which is deliberate — fan-out sites pass an explicit
-  collect flag and return per-shard registries (see
-  ``repro.stream.executor``), keeping merges deterministic.
+  inherit it, which is deliberate — the one fan primitive runs each
+  worker under a fresh registry and merges them back in shard order
+  (``repro.stream.executor.fan``), keeping merges deterministic.
 * ``span(name)`` contexts time a block with :func:`time.perf_counter`
   and nest: entering a span inside another records under the dotted
   path (``"fleet.scan.count"``). Spans must be used as ``with``
@@ -347,7 +347,9 @@ class MetricsRegistry:
         Counters, histogram buckets, and span counts add; span min/max
         combine; gauges are right-biased (``other`` wins). Absorbing a
         :class:`NullRegistry` is a no-op, so merge loops need no
-        isinstance branches.
+        isinstance branches. ``other``'s spans merge under this
+        registry's open span path, as if they had run inside it -- so a
+        fan's worker spans nest under the span that dispatched it.
         """
         if isinstance(other, NullRegistry):
             return
@@ -361,11 +363,12 @@ class MetricsRegistry:
                 mine = _Histogram(hist.edges)
                 self._histograms[name] = mine
             mine.merge(hist)
+        prefix = "".join(f"{name}." for name in self._span_stack)
         for name, stats in other._spans.items():
-            ours = self._spans.get(name)
+            ours = self._spans.get(prefix + name)
             if ours is None:
                 ours = _SpanStats()
-                self._spans[name] = ours
+                self._spans[prefix + name] = ours
             ours.merge(stats)
 
     def __add__(self, other: AnyRegistry | int) -> MetricsRegistry:
@@ -466,10 +469,10 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Install ``registry`` as the active sink for the ``with`` scope.
 
     Scoping is per :mod:`contextvars` context: executor worker threads
-    and processes do **not** see the parent's registry — fan-out sites
-    collect per-shard registries explicitly and merge them back (see
-    ``repro.stream.executor``), which is what keeps merged snapshots
-    deterministic.
+    and processes do **not** see the parent's registry — the fan
+    primitive collects per-shard registries explicitly and merges them
+    back (``repro.stream.executor.fan``), which is what keeps merged
+    snapshots deterministic.
     """
     token = _ACTIVE.set(registry)
     try:

@@ -41,13 +41,12 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
 )
 from repro.resilience.supervisor import (
-    FanReport,
     PartialSketchReport,
-    ShardFailure,
     SupervisedExecutor,
     partial_partition_sketch,
     partial_support_sketch,
 )
+from repro.stream.executor import FanReport, ShardFailure
 
 __all__ = [
     "Fault",

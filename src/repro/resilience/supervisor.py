@@ -31,22 +31,27 @@ from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro._typing import ExecutorLike
 
-from repro.errors import ExecutorError, InvalidParameterError, ShardFailedError
-from repro.obs import enabled, metrics
+from repro.errors import ExecutorError, InvalidParameterError
+from repro.obs import metrics
 from repro.resilience.backoff import backoff_delay, sleep_backoff
 from repro.stats.resample_plan import _resolve_rng
 from repro.stream.executor import (
+    FanReport,
     ProcessExecutor,
     SerialExecutor,
+    ShardFailure,
     ThreadExecutor,
-    _merge_worker_registries,
     _sketch_partition_shard,
     _sketch_shard,
+    fan,
+    owned,
+    shipped_row_bytes,
 )
 from repro.stream.sketch import (
     PartitionSketch,
@@ -68,51 +73,6 @@ _RUNG_TYPES: dict[str, type] = {
     "thread": ThreadExecutor,
     "serial": SerialExecutor,
 }
-
-
-@dataclass(frozen=True)
-class ShardFailure:
-    """One failed attempt: which shard, which try, on which rung, why."""
-
-    shard: int
-    attempt: int
-    backend: str
-    error: str
-
-
-@dataclass(frozen=True)
-class FanReport:
-    """The full outcome of one supervised fan.
-
-    ``results`` is in shard order with ``None`` at quarantined slots;
-    ``failed``/``errors`` are aligned (shard index, last rendered
-    cause). ``failures`` is the complete attempt-level log, in the
-    order failures were observed.
-    """
-
-    results: tuple[Any, ...]
-    failed: tuple[int, ...]
-    errors: tuple[str, ...]
-    failures: tuple[ShardFailure, ...]
-    retries: int
-    pool_rebuilds: int
-    degraded: bool
-    backend: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def raise_if_failed(self) -> FanReport:
-        if self.failed:
-            raise ShardFailedError(
-                f"{len(self.failed)} shard(s) quarantined after exhausting "
-                f"their retry budget (final backend {self.backend!r}): "
-                f"shards {list(self.failed)}; last causes: {list(self.errors)}",
-                shards=self.failed,
-                errors=self.errors,
-            )
-        return self
 
 
 class SupervisedExecutor:
@@ -446,6 +406,23 @@ class PartialSketchReport:
     errors: tuple[str, ...]
     fan: FanReport
 
+    @classmethod
+    def of(
+        cls, report: FanReport, row_counts: Sequence[int], empty: Any
+    ) -> PartialSketchReport:
+        """The view of ``report`` that merges only the completed shards."""
+        failed = set(report.failed)
+        included = tuple(i for i in range(len(row_counts)) if i not in failed)
+        return cls(
+            sketch=sum((report.results[i] for i in included), empty),
+            included_shards=included,
+            excluded_shards=report.failed,
+            excluded_rows=sum(row_counts[i] for i in report.failed),
+            total_rows=sum(row_counts),
+            errors=report.errors,
+            fan=report,
+        )
+
     @property
     def complete(self) -> bool:
         return not self.excluded_shards
@@ -459,42 +436,18 @@ class PartialSketchReport:
         )
 
 
-def _partial_fan(
-    executor: ExecutorLike,
-    worker: Callable[[Any], Any],
-    payloads: list[tuple[Any, ...]],
-    row_counts: list[int],
-    merge_empty: Any,
-    collect: bool,
-) -> PartialSketchReport:
-    supervisor = (
-        executor
-        if isinstance(executor, SupervisedExecutor)
-        else SupervisedExecutor(executor)
-    )
-    owns_runner = supervisor is not executor
-    try:
-        report = supervisor.map_report(worker, payloads)
-    finally:
-        if owns_runner:
-            supervisor.shutdown()
-    included = tuple(
-        i for i in range(len(payloads)) if i not in set(report.failed)
-    )
-    completed = [report.results[i] for i in included]
-    if collect:
-        completed = _merge_worker_registries(completed)
-    sketch = sum(completed, merge_empty)
-    excluded_rows = sum(row_counts[i] for i in report.failed)
-    return PartialSketchReport(
-        sketch=sketch,
-        included_shards=included,
-        excluded_shards=report.failed,
-        excluded_rows=excluded_rows,
-        total_rows=sum(row_counts),
-        errors=report.errors,
-        fan=report,
-    )
+@contextmanager
+def _supervised(executor: ExecutorLike) -> Iterator[SupervisedExecutor]:
+    """:func:`owned`, with a plain runner wrapped in a one-rung supervisor.
+
+    The wrapper holds no pool of its own; the runner underneath is
+    released (or not) by :func:`owned`, so an instance stays open.
+    """
+    with owned(executor) as runner:
+        if isinstance(runner, SupervisedExecutor):
+            yield runner
+        else:
+            yield SupervisedExecutor(runner)
 
 
 def partial_support_sketch(
@@ -511,16 +464,16 @@ def partial_support_sketch(
     get a result out of a fan with dead shards.
     """
     canon = canonical_itemsets(itemsets)
-    collect = enabled()
-    rows = [list(shard) for shard in shards]
-    payloads = [(shard, canon, n_items, collect) for shard in rows]
-    return _partial_fan(
-        executor,
-        _sketch_shard,
-        payloads,
-        [len(shard) for shard in rows],
-        SupportSketch.empty(canon, n_items),
-        collect,
+    payloads = [(list(shard), canon, n_items) for shard in shards]
+    with _supervised(executor) as runner:
+        report = fan(
+            _sketch_shard,
+            payloads,
+            runner,
+            ships=lambda p: shipped_row_bytes(p[0]),
+        )
+    return PartialSketchReport.of(
+        report, [len(p[0]) for p in payloads], SupportSketch.empty(canon, n_items)
     )
 
 
@@ -531,13 +484,9 @@ def partial_partition_sketch(
 ) -> PartialSketchReport:
     """Supervised tabular fan with exact excluded-row accounting."""
     plan = as_partition_plan(structure_or_plan)
-    collect = enabled()
-    payloads = [(shard, plan, collect) for shard in shards]
-    return _partial_fan(
-        executor,
-        _sketch_partition_shard,
-        payloads,
-        [len(shard) for shard in shards],
-        PartitionSketch.empty(plan),
-        collect,
+    payloads = [(shard, plan) for shard in shards]
+    with _supervised(executor) as runner:
+        report = fan(_sketch_partition_shard, payloads, runner)
+    return PartialSketchReport.of(
+        report, [len(shard) for shard in shards], PartitionSketch.empty(plan)
     )

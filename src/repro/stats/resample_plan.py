@@ -287,12 +287,10 @@ def _fan_blocks(
     default for parallelism, since the underlying GEMM/bincount kernels
     release the GIL.
 
-    Lifecycle: an executor given by *name* is constructed here and its
-    worker pool released before returning (a one-shot call must not
-    leak idle workers until interpreter exit); an executor *instance*
-    is used as-is, and its owner keeps the pool alive for reuse across
-    calls (the online monitor's shape -- see
-    :meth:`repro.stream.monitor.OnlineChangeMonitor.close`).
+    Lifecycle is :func:`repro.stream.executor.fan`'s: an executor given
+    by *name* is released before returning, an executor *instance* stays
+    open for its owner to reuse across calls (the online monitor's shape
+    -- see :meth:`repro.stream.monitor.OnlineChangeMonitor.close`).
     """
     if n_blocks < 1:
         raise InvalidParameterError("n_blocks must be >= 1")
@@ -300,19 +298,11 @@ def _fan_blocks(
         # a single block has nothing to parallelise: never pay a pool
         # spawn (or, for processes, a full compiled-state pickle) for it
         return worker(payload_of(w))
-    from repro.stream.executor import get_executor
+    from repro.stream.executor import fan
 
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
     blocks = np.array_split(w, n_blocks)
-    try:
-        results = runner.map(worker, [payload_of(b) for b in blocks])
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    return np.vstack(results)
+    report = fan(worker, [payload_of(b) for b in blocks], executor)
+    return np.vstack(report.raise_if_failed().results)
 
 
 # --------------------------------------------------------------------- #

@@ -15,7 +15,8 @@ tabular / partition models):
   :class:`PartitionSketch` (per-(cell x class) histograms), both
   combining with ``+`` and subtracting for window retirement;
 * :mod:`repro.stream.executor` -- serial / thread / process map-merge
-  backends for shard-parallel counting of either kind;
+  backends for shard-parallel counting of either kind, and the one fan
+  primitive (:func:`fan` / :func:`owned`) every fan in the engine uses;
 * :mod:`repro.stream.windows` -- the :class:`ChunkSketcher` protocol,
   its :class:`TransactionChunkSketcher` / :class:`PartitionChunkSketcher`
   implementations, and :class:`WindowManager`: tumbling and sliding
@@ -34,10 +35,13 @@ from repro.stream.chunks import (
     stream_transaction_chunks,
 )
 from repro.stream.executor import (
+    FanReport,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    fan,
     get_executor,
+    owned,
     shard_dataset,
     shard_ranges,
     shard_transactions,
@@ -65,6 +69,7 @@ from repro.stream.windows import (
 
 __all__ = [
     "ChunkSketcher",
+    "FanReport",
     "OnlineChangeMonitor",
     "PartitionChunkSketcher",
     "PartitionSketch",
@@ -79,9 +84,11 @@ __all__ = [
     "WindowManager",
     "as_partition_plan",
     "canonical_itemsets",
+    "fan",
     "get_executor",
     "iter_chunks",
     "iter_tabular_chunks",
+    "owned",
     "shard_dataset",
     "shard_ranges",
     "shard_transactions",

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for shard-parallel support counting.
+"""Pluggable execution backends and the one fan primitive.
 
 Because :class:`~repro.stream.sketch.SupportSketch` is additive across
 disjoint transaction shards, counting a large dataset is a pure
@@ -16,13 +16,26 @@ All three produce bit-identical merged sketches; the Hypothesis
 property suite pins ``sum(shard sketches) == single-scan counts`` for
 arbitrary partitions, including empty shards.
 
+Every fan in the engine -- shard sketches here, fleet store scans,
+bootstrap replicate blocks, supervised partial sketches -- goes through
+:func:`fan`, and every function-scoped runner through :func:`owned`:
+
+* :func:`owned` resolves a backend *name* to a runner the ``with``
+  block owns and releases; an executor *instance* passes through
+  untouched for its owner to keep reusing;
+* :func:`fan` maps one top-level worker over its payloads and returns a
+  :class:`FanReport` (``map_report`` on a supervised runner, ``map`` on
+  a plain one), tallying ``storage.bytes_shipped`` when the runner is
+  process-backed.
+
 When a :mod:`repro.obs` registry is active in the *caller's* context,
-each map worker collects into a fresh per-shard registry (worker
-threads and processes never see the caller's context variable) and
-returns it alongside its sketch; the fan-out site merges them back in
-shard order. Counters and histogram buckets are integer sums, so the
-merged snapshot is identical on every backend — the obs property suite
-pins serial == thread == process, counter for counter.
+:func:`fan` runs each worker under a fresh per-shard registry (worker
+threads and processes never see the caller's context variable), ships
+it back with the result, and merges the registries in shard order, the
+workers' spans nested under the dispatching span. Counters and
+histogram buckets are integer sums, so the merged snapshot is
+identical on every backend — the obs property suite pins serial ==
+thread == process, counter for counter.
 """
 
 from __future__ import annotations
@@ -34,12 +47,14 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Any, Callable, ClassVar, Iterable, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence
 
 from repro._typing import DatasetLike, ExecutorLike, StructureOrPlan
 
 from repro.data.transactions import BitmapIndex
-from repro.errors import ExecutorError, InvalidParameterError
+from repro.errors import ExecutorError, InvalidParameterError, ShardFailedError
 from repro.obs import MetricsRegistry, enabled, metrics, use_registry
 from repro.stream.sketch import (
     PartitionSketch,
@@ -221,49 +236,187 @@ def process_backed(executor: ExecutorLike) -> bool:
     return bool(getattr(executor, "process_backed", False))
 
 
-def _sketch_shard(
-    payload: tuple[Any, ...],
-) -> SupportSketch | tuple[SupportSketch, MetricsRegistry]:
-    """Top-level map worker (must be picklable for the process backend).
+@contextmanager
+def owned(executor: ExecutorLike) -> Iterator[Any]:
+    """Resolve ``executor`` to a runner for the ``with`` block.
 
-    With the collect flag set, the shard is sketched under a fresh
-    local registry that travels back with the result; instrumentation
-    inside the counting path (bitmap memo hits, plan counts) lands
-    there instead of the worker's null default.
+    A backend *name* resolves to a fresh runner that the block owns and
+    releases on exit; an executor *instance* passes through untouched,
+    and its owner keeps reusing it.
     """
-    transactions, itemsets, n_items, collect = payload
-    if not collect:
-        return SupportSketch.from_transactions(transactions, itemsets, n_items)
+    runner = get_executor(executor)
+    if not isinstance(executor, str):
+        yield runner
+        return
+    try:
+        yield runner
+    finally:
+        shutdown = getattr(runner, "shutdown", None)
+        if shutdown is not None:
+            shutdown()
+
+
+@dataclass(frozen=True)
+class ShardFailure:
+    """One failed attempt: which shard, which try, on which rung, why."""
+
+    shard: int
+    attempt: int
+    backend: str
+    error: str
+
+
+@dataclass(frozen=True)
+class FanReport:
+    """The full outcome of one fan.
+
+    ``results`` is in shard order with ``None`` at quarantined slots;
+    ``failed``/``errors`` are aligned (shard index, last rendered
+    cause). ``failures`` is the complete attempt-level log, in the
+    order failures were observed. Only a supervised runner can fill the
+    failure fields; a plain runner's fan either completes or raises.
+    """
+
+    results: tuple[Any, ...]
+    failed: tuple[int, ...] = ()
+    errors: tuple[str, ...] = ()
+    failures: tuple[ShardFailure, ...] = ()
+    retries: int = 0
+    pool_rebuilds: int = 0
+    degraded: bool = False
+    backend: str = "custom"
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+    def raise_if_failed(self) -> FanReport:
+        if self.failed:
+            raise ShardFailedError(
+                f"{len(self.failed)} shard(s) quarantined after exhausting "
+                f"their retry budget (final backend {self.backend!r}): "
+                f"shards {list(self.failed)}; last causes: {list(self.errors)}",
+                shards=self.failed,
+                errors=self.errors,
+            )
+        return self
+
+
+def _observed(
+    call: tuple[Callable[[Any], Any], Any],
+) -> tuple[Any, MetricsRegistry]:
+    """Run one worker under a fresh registry that travels back with it.
+
+    Top-level so the process backend can pickle it; worker threads and
+    processes never see the caller's registry, so instrumentation
+    inside the worker lands here instead of the null default.
+    """
+    worker, payload = call
     local = MetricsRegistry()
     with use_registry(local):
-        with local.span("stream.shard.sketch"):
-            sketch = SupportSketch.from_transactions(
-                transactions, itemsets, n_items
+        result = worker(payload)
+    return result, local
+
+
+def fan(
+    worker: Callable[[Any], Any],
+    payloads: Iterable[Any],
+    executor: ExecutorLike,
+    *,
+    ships: Callable[[Any], int] | None = None,
+) -> FanReport:
+    """Map a top-level ``worker`` over ``payloads`` on ``executor``.
+
+    The runner comes from :func:`owned`, so a backend name is released
+    before returning and an instance stays open. ``ships`` says how
+    many bytes one payload costs to pickle; on a process-backed runner
+    their sum is tallied in ``storage.bytes_shipped``. A supervised
+    runner (one with ``map_report``) may return quarantined slots, so
+    strict callers read ``fan(...).raise_if_failed().results``.
+    """
+    payloads = list(payloads)
+    collect = enabled()
+    task: Callable[[Any], Any] = _observed if collect else worker
+    items: list[Any] = [(worker, p) for p in payloads] if collect else payloads
+    with owned(executor) as runner:
+        if ships is not None and process_backed(runner):
+            metrics().inc("storage.bytes_shipped", sum(map(ships, payloads)))
+        if hasattr(runner, "map_report"):
+            report: FanReport = runner.map_report(task, items)
+        else:
+            report = FanReport(
+                tuple(runner.map(task, items)),
+                backend=str(getattr(runner, "name", "custom")),
             )
-        local.inc("stream.shards.sketched")
-        local.observe("stream.shard.rows", float(len(transactions)))
-    return sketch, local
-
-
-def _merge_worker_registries(results: list[Any]) -> list[Any]:
-    """Unzip ``(result, registry)`` pairs, merging registries in order."""
+    if not collect:
+        return report
     sink = metrics()
-    bare: list[Any] = []
-    for result, local in results:
-        bare.append(result)
+    failed = set(report.failed)
+    results: list[Any] = []
+    for shard, outcome in enumerate(report.results):
+        if shard in failed:
+            results.append(None)
+            continue
+        result, local = outcome
         sink.absorb(local)
-    return bare
+        results.append(result)
+    return replace(report, results=tuple(results))
 
 
-def shipped_row_bytes(shards: Sequence[Sequence[Any]]) -> int:
-    """Approximate pickled payload bytes of row shards (8 bytes/item+row).
+# --------------------------------------------------------------------- #
+# Shard workers and splitters
+# --------------------------------------------------------------------- #
+
+
+@contextmanager
+def _shard_span(rows: int) -> Iterator[None]:
+    """Time one shard sketch and count it and its rows."""
+    sink = metrics()
+    with sink.span("stream.shard.sketch"):
+        yield
+    sink.inc("stream.shards.sketched")
+    sink.observe("stream.shard.rows", float(rows))
+
+
+def _sketch_shard(payload: tuple[Any, ...]) -> SupportSketch:
+    """Top-level map worker (must be picklable for the process backend)."""
+    transactions, itemsets, n_items = payload
+    with _shard_span(len(transactions)):
+        return SupportSketch.from_transactions(transactions, itemsets, n_items)
+
+
+def shipped_row_bytes(shard: Sequence[Any]) -> int:
+    """Approximate pickled payload bytes of a row shard (8 bytes/item+row).
 
     Feeds the ``storage.bytes_shipped`` counter when a *process* fan has
     to ship the rows themselves; the handle-based fans over a
     shared-medium store ship none, which is the zero the out-of-core
     invariants pin.
     """
-    return sum(8 * (len(shard) + sum(len(t) for t in shard)) for shard in shards)
+    return 8 * (len(shard) + sum(len(t) for t in shard))
+
+
+def shipped_index_bytes(index: BitmapIndex) -> int:
+    """Pickled payload bytes of one bitmap index sent to a worker process.
+
+    A shared-medium (mmap) index pickles as a stripe handle and ships
+    no row bytes; a RAM index ships its whole packed buffer.
+    """
+    return 0 if index.handle() is not None else int(index._buf.nbytes)
+
+
+def shard_ranges(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
+    """Contiguous, near-even ``[start, stop)`` row ranges covering ``n_rows``."""
+    if n_shards < 1:
+        raise InvalidParameterError("n_shards must be >= 1")
+    base, extra = divmod(n_rows, n_shards)
+    ranges: list[tuple[int, int]] = []
+    start = 0
+    for i in range(n_shards):
+        size = base + (1 if i < extra else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges
 
 
 def shard_transactions(
@@ -274,18 +427,10 @@ def shard_transactions(
     With fewer transactions than shards some shards are empty; the merge
     identity makes that harmless.
     """
-    if n_shards < 1:
-        raise InvalidParameterError("n_shards must be >= 1")
     transactions = list(transactions)
-    n = len(transactions)
-    base, extra = divmod(n, n_shards)
-    shards: list[list[Any]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(transactions[start : start + size])
-        start += size
-    return shards
+    return [
+        transactions[a:b] for a, b in shard_ranges(len(transactions), n_shards)
+    ]
 
 
 def sketch_shards(
@@ -300,25 +445,14 @@ def sketch_shards(
     an executor *instance* stays open for its owner to reuse.
     """
     canon = canonical_itemsets(itemsets)
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    collect = enabled()
-    payloads = [(list(shard), canon, n_items, collect) for shard in shards]
-    if process_backed(runner):
-        metrics().inc(
-            "storage.bytes_shipped",
-            shipped_row_bytes([p[0] for p in payloads]),
-        )
-    try:
-        results = runner.map(_sketch_shard, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if not collect:
-        return results
-    return _merge_worker_registries(results)
+    payloads = [(list(shard), canon, n_items) for shard in shards]
+    report = fan(
+        _sketch_shard,
+        payloads,
+        executor,
+        ships=lambda p: shipped_row_bytes(p[0]),
+    )
+    return list(report.raise_if_failed().results)
 
 
 def sharded_support_sketch(
@@ -345,23 +479,7 @@ def sharded_support_sketch(
 # --------------------------------------------------------------------- #
 
 
-def shard_ranges(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous, near-even ``[start, stop)`` row ranges covering ``n_rows``."""
-    if n_shards < 1:
-        raise InvalidParameterError("n_shards must be >= 1")
-    base, extra = divmod(n_rows, n_shards)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
-def _sketch_index_shard(
-    payload: tuple[Any, ...],
-) -> SupportSketch | tuple[SupportSketch, MetricsRegistry]:
+def _sketch_index_shard(payload: tuple[Any, ...]) -> SupportSketch:
     """Top-level map worker counting one row range of a shared index.
 
     Serial/thread backends receive the index by reference; the process
@@ -369,24 +487,14 @@ def _sketch_index_shard(
     medium is a byte-cheap :class:`~repro.data.storage.StripeHandle`
     the worker re-maps zero-copy (``BitmapIndex.__reduce_ex__``) -- the
     attach happens during payload deserialisation, the counting under
-    the worker's collect registry.
+    the worker's registry.
     """
-    index, start, stop, canon, collect = payload
-    if not collect:
+    index, start, stop, canon = payload
+    with _shard_span(stop - start):
         counts = canon.plan().count(index, start=start, stop=stop)
         return SupportSketch._from_canonical(
             canon, counts, stop - start, index.n_items
         )
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span("stream.shard.sketch"):
-            counts = canon.plan().count(index, start=start, stop=stop)
-            sketch = SupportSketch._from_canonical(
-                canon, counts, stop - start, index.n_items
-            )
-        local.inc("stream.shards.sketched")
-        local.observe("stream.shard.rows", float(stop - start))
-    return sketch, local
 
 
 def sketch_index_shards(
@@ -409,23 +517,14 @@ def sketch_index_shards(
     """
     canon = canonical_itemsets(itemsets)
     ranges = shard_ranges(index.n_transactions, n_shards)
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    collect = enabled()
-    if process_backed(runner):
-        shipped = 0 if index.handle() is not None else index._buf.nbytes
-        metrics().inc("storage.bytes_shipped", shipped * len(ranges))
-    payloads = [(index, a, b, canon, collect) for a, b in ranges]
-    try:
-        results = runner.map(_sketch_index_shard, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if not collect:
-        return results
-    return _merge_worker_registries(results)
+    payloads = [(index, a, b, canon) for a, b in ranges]
+    report = fan(
+        _sketch_index_shard,
+        payloads,
+        executor,
+        ships=lambda p: shipped_index_bytes(p[0]),
+    )
+    return list(report.raise_if_failed().results)
 
 
 def sharded_index_sketch(
@@ -451,26 +550,16 @@ def sharded_index_sketch(
 # --------------------------------------------------------------------- #
 
 
-def _sketch_partition_shard(
-    payload: tuple[Any, ...],
-) -> PartitionSketch | tuple[PartitionSketch, MetricsRegistry]:
+def _sketch_partition_shard(payload: tuple[Any, ...]) -> PartitionSketch:
     """Top-level map worker for tabular shards.
 
     Picklable for the process backend as long as the plan's assigner is
     (tree and grid assigners are; composed GCR-overlay assigners are
-    closures and need the serial or thread backend). Collects into a
-    per-shard registry exactly like :func:`_sketch_shard`.
+    closures and need the serial or thread backend).
     """
-    dataset, plan, collect = payload
-    if not collect:
+    dataset, plan = payload
+    with _shard_span(len(dataset)):
         return PartitionSketch.from_dataset(dataset, plan)
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span("stream.shard.sketch"):
-            sketch = PartitionSketch.from_dataset(dataset, plan)
-        local.inc("stream.shards.sketched")
-        local.observe("stream.shard.rows", float(len(dataset)))
-    return sketch, local
 
 
 def shard_dataset(dataset: DatasetLike, n_shards: int) -> list[Any]:
@@ -480,17 +569,9 @@ def shard_dataset(dataset: DatasetLike, n_shards: int) -> list[Any]:
     sharding is O(shards), not O(rows). With fewer rows than shards some
     shards are empty; the merge identity makes that harmless.
     """
-    if n_shards < 1:
-        raise InvalidParameterError("n_shards must be >= 1")
-    n = len(dataset)
-    base, extra = divmod(n, n_shards)
-    shards = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(dataset.slice_rows(start, start + size))
-        start += size
-    return shards
+    return [
+        dataset.slice_rows(a, b) for a, b in shard_ranges(len(dataset), n_shards)
+    ]
 
 
 def sketch_partition_shards(
@@ -504,20 +585,9 @@ def sketch_partition_shards(
     an executor *instance* stays open for its owner to reuse.
     """
     plan = as_partition_plan(structure_or_plan)
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    collect = enabled()
-    payloads = [(shard, plan, collect) for shard in shards]
-    try:
-        results = runner.map(_sketch_partition_shard, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if not collect:
-        return results
-    return _merge_worker_registries(results)
+    payloads = [(shard, plan) for shard in shards]
+    report = fan(_sketch_partition_shard, payloads, executor)
+    return list(report.raise_if_failed().results)
 
 
 def sharded_partition_sketch(

@@ -170,14 +170,50 @@ class TestRL003:
 
     def test_getattr_shutdown_idiom_is_clean(self):
         src = (
-            "def fan(executor, payloads):\n"
-            "    runner = get_executor(executor)\n"
+            "def fan(payloads):\n"
+            "    runner = get_executor('thread')\n"
             "    try:\n"
             "        return runner.map(work, payloads)\n"
             "    finally:\n"
             "        shutdown = getattr(runner, 'shutdown', None)\n"
             "        if shutdown is not None:\n"
             "            shutdown()\n"
+        )
+        assert codes(src) == []
+
+    def test_owns_runner_try_finally_idiom_fires(self):
+        # the hand-rolled name-vs-instance release every fan used to
+        # repeat; one copy of it shut down a caller's pool
+        src = (
+            "def fan(executor, payloads):\n"
+            "    runner = get_executor(executor)\n"
+            "    owns_runner = isinstance(executor, str)\n"
+            "    try:\n"
+            "        return runner.map(work, payloads)\n"
+            "    finally:\n"
+            "        if owns_runner:\n"
+            "            shutdown = getattr(runner, 'shutdown', None)\n"
+            "            if shutdown is not None:\n"
+            "                shutdown()\n"
+        )
+        assert codes(src) == ["RL003"]
+
+    def test_owned_block_is_clean(self):
+        src = (
+            "def fan(executor, payloads):\n"
+            "    with owned(executor) as runner:\n"
+            "        return runner.map(work, payloads)\n"
+        )
+        assert codes(src) == []
+
+    def test_get_executor_inside_owned_itself_is_clean(self):
+        src = (
+            "def owned(executor):\n"
+            "    runner = get_executor(executor)\n"
+            "    try:\n"
+            "        yield runner\n"
+            "    finally:\n"
+            "        runner.shutdown()\n"
         )
         assert codes(src) == []
 

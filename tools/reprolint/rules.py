@@ -9,7 +9,9 @@ RL002     sketch/plan merges must guard on ``counts_key`` (or
           equivalent) before touching counts
 RL003     executor construction must be paired with deterministic
           release (``shutdown``/``close``/``with``; or an owning class
-          that exposes ``close()``)
+          that exposes ``close()``); a function-scoped
+          ``get_executor(<variable>)`` must go through
+          ``owned()``/``fan()``
 RL004     no per-row Python ``for`` loops in the designated hot modules
           (functions marked as property-test oracles are exempt)
 RL005     no mutable default arguments; no ndarray-keyed memo dicts
@@ -277,6 +279,15 @@ class ExecutorLifecycleRule:
     ``shutdown()``/``close()`` call, including via ``getattr``), or be
     stored on ``self`` of a class that exposes ``close``/``shutdown``
     for its owner to call.
+
+    A function-scoped ``get_executor(x)`` whose argument is not a
+    literal backend name, and whose result is not stored on ``self``,
+    is a finding whatever its release path, unless it sits in
+    ``owned()`` itself: ``x`` may be a name (which the function owns)
+    or a caller's instance (which it must leave open), and a
+    hand-rolled release that gets this wrong shuts down the caller's
+    pool. Function-scoped fans go through
+    ``repro.stream.executor.fan``/``owned``.
     """
 
     code = "RL003"
@@ -363,6 +374,7 @@ class ExecutorLifecycleRule:
                 continue
             if self._inside_with(ctx, node):
                 continue
+            scope = ctx.enclosing_scope(node)
             if self._assigns_to_self(ctx, node):
                 if self._class_has_release(ctx.enclosing_class(node)):
                     continue
@@ -375,7 +387,27 @@ class ExecutorLifecycleRule:
                     "the pool deterministically",
                 )
                 continue
-            if self._scope_releases(ctx.enclosing_scope(node)):
+            if (
+                tail_name(node.func) == "get_executor"
+                and isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and scope.name != "owned"
+                and not (
+                    node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                )
+            ):
+                yield _finding(
+                    ctx,
+                    node,
+                    self.code,
+                    "function-scoped get_executor(); resolve the runner "
+                    "with `with owned(executor) as runner` (or fan through "
+                    "fan()), which releases a name and leaves an instance "
+                    "open",
+                )
+                continue
+            if self._scope_releases(scope):
                 continue
             yield _finding(
                 ctx,
